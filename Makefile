@@ -1,5 +1,5 @@
 # Convenience targets; `make check` is the gate ci.sh runs in CI.
-.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz bench benchsmoke benchjson servesmoke servejson zoosmoke zoojson editsmoke editjson clustersmoke clusterjson
+.PHONY: check test build vet lint lintfix lintsmoke toolinstall staticcheck fuzz fuzzpeephole bench benchsmoke benchjson servesmoke servejson zoosmoke zoojson editsmoke editjson clustersmoke clusterjson
 
 check:
 	./ci.sh
@@ -49,6 +49,10 @@ toolinstall:
 
 fuzz:
 	go test -run '^$$' -fuzz='^FuzzCompileSource$$' -fuzztime=10s .
+
+# Peephole compaction vs. the Verify-per-move reference (also in ci.sh).
+fuzzpeephole:
+	go test -run '^$$' -fuzz='^FuzzCompactMatchesReference$$' -fuzztime=5s ./internal/peephole
 
 bench:
 	go run ./cmd/avivbench -all

@@ -98,6 +98,11 @@ if [ "${1:-}" != "-short" ]; then
     echo "== fuzz smoke (FuzzCompileSource, 10s) =="
     go test -run '^$' -fuzz='^FuzzCompileSource$' -fuzztime=10s .
 
+    echo "== fuzz smoke (FuzzCompactMatchesReference, 5s) =="
+    # Peephole compaction against its Verify-per-move reference: same
+    # output, every candidate decision equal to Verify's.
+    go test -run '^$' -fuzz='^FuzzCompactMatchesReference$' -fuzztime=5s ./internal/peephole
+
     echo "== bench smoke (every benchmark, one iteration) =="
     go test -run '^$' -bench . -benchtime=1x ./...
 

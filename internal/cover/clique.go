@@ -490,22 +490,34 @@ func splitIllegal(group []*SNode, m *isdl.Machine) [][]*SNode {
 
 // legalGroup reports whether the grouping forms a legal instruction.
 func legalGroup(group []*SNode, m *isdl.Machine) bool {
-	var slots []isdl.SlotRef
-	busUse := make(map[string]int)
+	var slotBuf [8]isdl.SlotRef
+	var busBuf [8]string
+	slots, buses := appendGroup(slotBuf[:0], busBuf[:0], group)
+	return m.GroupLegal(slots, buses)
+}
+
+// appendGroup appends the ISDL slots and the transfer buses of the
+// grouping's nodes, in the form isdl.Machine.GroupLegal takes.
+func appendGroup(slots []isdl.SlotRef, buses []string, group []*SNode) ([]isdl.SlotRef, []string) {
 	for _, n := range group {
-		if n.Kind == OpNode {
-			// Synthetic immediate materializations (Op == CONST) occupy
-			// the unit but are outside the ISDL op repertoire; unit
-			// exclusivity for them is already enforced by the
-			// parallelism matrix, so they add no constraint slot.
-			if n.Op.IsComputation() {
-				slots = append(slots, isdl.SlotRef{Unit: n.Unit, Op: n.Op})
-			}
-		} else {
-			busUse[n.Step.Bus]++
-		}
+		slots, buses = appendNode(slots, buses, n)
 	}
-	return m.CheckGroup(slots, busUse) == nil
+	return slots, buses
+}
+
+// appendNode appends one node's ISDL slot or transfer bus.
+func appendNode(slots []isdl.SlotRef, buses []string, n *SNode) ([]isdl.SlotRef, []string) {
+	if n.Kind != OpNode {
+		return slots, append(buses, n.Step.Bus)
+	}
+	// Synthetic immediate materializations (Op == CONST) occupy the unit
+	// but are outside the ISDL op repertoire; unit exclusivity for them
+	// is already enforced by the parallelism matrix, so they add no
+	// constraint slot.
+	if n.Op.IsComputation() {
+		slots = append(slots, isdl.SlotRef{Unit: n.Unit, Op: n.Op})
+	}
+	return slots, buses
 }
 
 // dedupeCliques removes duplicate groupings by a binary key over the

@@ -18,6 +18,7 @@ func (e *GroupError) Error() string { return "isdl: illegal grouping: " + e.Reas
 //   - no explicit Constraint is fully matched by the slots.
 //
 // It returns nil when legal, or a *GroupError describing the violation.
+// GroupLegal makes the same decision without building the explanation.
 func (m *Machine) CheckGroup(slots []SlotRef, busUse map[string]int) error {
 	seen := make(map[string]bool, len(slots))
 	for _, s := range slots {
@@ -48,6 +49,64 @@ func (m *Machine) CheckGroup(slots []SlotRef, busUse map[string]int) error {
 		}
 	}
 	return nil
+}
+
+// GroupLegal reports whether one VLIW instruction containing the given
+// computation slots and transfers is legal: CheckGroup(slots, busUse)
+// == nil, where busUse counts the entries of buses (one bus name per
+// transfer). It allocates nothing and formats nothing, because the
+// covering search and the peephole pass ask it for every candidate
+// grouping; instruction groups are small, so the repeated-unit and
+// per-bus counts are quadratic scans instead of maps.
+//
+// Legality is closed under taking subsets: dropping a slot or a
+// transfer from a legal group leaves it legal, since every rule bounds
+// a use from above or forbids a full set of slots.
+func (m *Machine) GroupLegal(slots []SlotRef, buses []string) bool {
+	for i, s := range slots {
+		u := m.Unit(s.Unit)
+		if u == nil || !u.Can(s.Op) {
+			return false
+		}
+		for _, t := range slots[:i] {
+			if t.Unit == s.Unit {
+				return false
+			}
+		}
+	}
+	for i, bus := range buses {
+		if seenBefore(buses[:i], bus) {
+			continue
+		}
+		b := m.Bus(bus)
+		if b == nil {
+			return false
+		}
+		n := 1
+		for _, other := range buses[i+1:] {
+			if other == bus {
+				n++
+			}
+		}
+		if n > b.Width {
+			return false
+		}
+	}
+	for _, c := range m.Constraints {
+		if matchesConstraint(slots, c) {
+			return false
+		}
+	}
+	return true
+}
+
+func seenBefore(list []string, s string) bool {
+	for _, x := range list {
+		if x == s {
+			return true
+		}
+	}
+	return false
 }
 
 func matchesConstraint(slots []SlotRef, c Constraint) bool {

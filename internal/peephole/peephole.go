@@ -2,9 +2,18 @@
 // paper's Sec. IV-G: removing loads and spills that the covering's
 // pessimistic lifetime analysis inserted unnecessarily, and compacting
 // the schedule by moving operations into earlier empty slots when
-// dependences and machine constraints allow. Either transformation is
-// kept only when the solution still verifies and the code size does not
-// grow.
+// dependences and machine constraints allow.
+//
+// A spill removal is kept only when the edited clone verifies and the
+// code size does not grow. A compaction move is decided by
+// cover.MoveChecker, which checks only what moving a node into an
+// earlier instruction can change: the node's predecessors (with their
+// real latencies), the grouping legality of the target instruction, and
+// the register pressure of the node's bank between the two
+// instructions. That decision is exactly the one Verify would make on
+// the moved solution (DESIGN.md §8), without re-verifying the whole
+// solution per candidate; the compacted solution is kept only if it is
+// smaller and passes the whole-solution Verify.
 //
 // The division of labor with the global dataflow framework: dead stores
 // of program variables are an IR-level, cross-block property and are
@@ -155,38 +164,29 @@ func tryRemoveSlot(sol *cover.Solution, slot string) (*cover.Solution, bool) {
 
 // compact moves nodes into earlier instructions when dependences, bank
 // pressure, and grouping legality allow, then drops emptied instructions.
+// Each candidate move is decided by cover.MoveChecker, which checks only
+// what the move can change; the whole-solution Verify gates the result.
 func compact(sol *cover.Solution) (*cover.Solution, bool) {
 	c := sol.Clone()
+	chk := cover.NewMoveChecker(c)
 	changed := false
+	var nodes []*cover.SNode
 	for {
 		moved := false
-		pos := positions(c)
 		for i := 1; i < len(c.Instrs); i++ {
-			for _, n := range append([]*cover.SNode(nil), c.Instrs[i]...) {
-				earliest := 0
-				for _, p := range n.Preds {
-					if pos[p]+1 > earliest {
-						earliest = pos[p] + 1
-					}
-				}
-				for _, p := range n.OrdPreds {
-					if pos[p]+1 > earliest {
-						earliest = pos[p] + 1
-					}
-				}
-				for j := earliest; j < i; j++ {
-					if tryMove(c, n, i, j) {
-						pos = positions(c)
-						moved = true
-						changed = true
-						break
-					}
+			nodes = append(nodes[:0], c.Instrs[i]...)
+			for _, n := range nodes {
+				if moveEarlier(chk, n, i) {
+					moved = true
+				} else if trialStart(chk, n) < i {
+					c.Instrs[i] = toEnd(c.Instrs[i], n)
 				}
 			}
 		}
 		if !moved {
 			break
 		}
+		changed = true
 	}
 	c.Instrs = dropEmpty(c.Instrs)
 	if !changed || c.Cost() >= sol.Cost() {
@@ -198,37 +198,46 @@ func compact(sol *cover.Solution) (*cover.Solution, bool) {
 	return c, true
 }
 
-// tryMove relocates node n from instruction i to j, keeping the move only
-// if the solution still verifies.
-func tryMove(c *cover.Solution, n *cover.SNode, i, j int) bool {
-	c.Instrs[i] = removeFrom(c.Instrs[i], n)
-	c.Instrs[j] = append(c.Instrs[j], n)
-	if err := c.Verify(); err != nil {
-		c.Instrs[j] = removeFrom(c.Instrs[j], n)
-		c.Instrs[i] = append(c.Instrs[i], n)
-		return false
-	}
-	return true
-}
-
-func positions(c *cover.Solution) map[*cover.SNode]int {
-	pos := make(map[*cover.SNode]int)
-	for i, instr := range c.Instrs {
-		for _, n := range instr {
-			pos[n] = i
+// moveEarlier moves n from instruction i into the earliest instruction
+// that accepts it, reporting whether it moved.
+func moveEarlier(chk *cover.MoveChecker, n *cover.SNode, i int) bool {
+	for j := chk.Earliest(n); j < i; j++ {
+		if chk.CanMove(n, j) {
+			chk.Move(n, j)
+			return true
 		}
 	}
-	return pos
+	return false
 }
 
-func removeFrom(list []*cover.SNode, x *cover.SNode) []*cover.SNode {
-	var out []*cover.SNode
-	for _, n := range list {
-		if n != x {
-			out = append(out, n)
+// trialStart is one past n's latest predecessor, latencies aside. A node
+// that had such a slot before its instruction and did not move goes to
+// the end of its instruction: that is the order the Verify-per-move
+// formulation (referenceCompact in the tests) leaves, because it
+// re-appends the node after each rejected trial. Later passes visit
+// nodes in instruction order, so keeping that order keeps the output
+// node-for-node identical to it.
+func trialStart(chk *cover.MoveChecker, n *cover.SNode) int {
+	e := 0
+	for _, p := range n.Preds {
+		e = max(e, chk.Pos(p)+1)
+	}
+	for _, p := range n.OrdPreds {
+		e = max(e, chk.Pos(p)+1)
+	}
+	return e
+}
+
+// toEnd moves x to the end of list in place.
+func toEnd(list []*cover.SNode, x *cover.SNode) []*cover.SNode {
+	for k, n := range list {
+		if n == x {
+			copy(list[k:], list[k+1:])
+			list[len(list)-1] = x
+			break
 		}
 	}
-	return out
+	return list
 }
 
 func filterInstrs(instrs [][]*cover.SNode, removed map[*cover.SNode]bool) [][]*cover.SNode {
